@@ -128,7 +128,9 @@ type statuszPayload struct {
 }
 
 // vrfStatus is the multi-tenant section of /statusz: the shared-index
-// economics plus one row per tenant.
+// economics plus one row per tenant. unique_bytes sums the tenants'
+// private IPv6 shard blobs, each of which carries only its shard's
+// root window and the folded groups covering it.
 type vrfStatus struct {
 	Tenants     int      `json:"tenants"`
 	SharedBytes int      `json:"shared_bytes"`
@@ -141,7 +143,7 @@ type vrfRow struct {
 	Prefixes   int    `json:"prefixes"`
 	Prefixes6  int    `json:"prefixes6"`
 	SizeBytes  int    `json:"size_bytes"`  // v4: published root windows (arena counted once in shared_bytes)
-	SizeBytes6 int    `json:"size_bytes6"` // v6: tenant-private blobs
+	SizeBytes6 int    `json:"size_bytes6"` // v6: tenant-private shard blobs, each only its root window + covering groups
 }
 
 func (st *status) statusz() statuszPayload {

@@ -115,18 +115,21 @@ func TestFig5ShapeHolds(t *testing.T) {
 	if !(l0.ModelBytes <= l8.ModelBytes && l8.ModelBytes <= l32.ModelBytes) {
 		t.Fatalf("memory not monotone: %d %d %d", l0.ModelBytes, l8.ModelBytes, l32.ModelBytes)
 	}
-	// λ=0 must be far more expensive than any barrier; the λ=8 vs λ=32
-	// difference is below the timer noise floor at this tiny scale, so
-	// only the dominant signal is asserted.
-	if l0.RandomUS < 3*l8.RandomUS || l0.RandomUS < 3*l32.RandomUS {
-		t.Fatalf("random update cost at λ=0 (%.2f µs) should dominate λ=8 (%.2f) and λ=32 (%.2f)",
-			l0.RandomUS, l8.RandomUS, l32.RandomUS)
+	// λ=0 must be far more expensive than any barrier. The cost is the
+	// visited-node count the update path tallies exactly (µs stay in
+	// fibbench -fig5): timings on a loaded host swung this ratio
+	// below 3 while the counts cannot move. At this seed and scale the
+	// counts give 125.4 nodes per random update at λ=0 against 29.1
+	// at λ=8 and 16.2 at λ=32 (4.3× and 7.7×).
+	if l0.RandomNodes < 3*l8.RandomNodes || l0.RandomNodes < 3*l32.RandomNodes {
+		t.Fatalf("random update cost at λ=0 (%.1f nodes) should dominate λ=8 (%.1f) and λ=32 (%.1f)",
+			l0.RandomNodes, l8.RandomNodes, l32.RandomNodes)
 	}
 	// BGP updates are biased to long prefixes, so they are much less
 	// sensitive to λ than random ones at λ=0 (the paper's key finding).
-	if l0.BGPUS > l0.RandomUS {
-		t.Fatalf("BGP updates (%.2f µs) should be cheaper than random (%.2f µs) at λ=0",
-			l0.BGPUS, l0.RandomUS)
+	if l0.BGPNodes > l0.RandomNodes {
+		t.Fatalf("BGP updates (%.1f nodes) should be cheaper than random (%.1f nodes) at λ=0",
+			l0.BGPNodes, l0.RandomNodes)
 	}
 }
 

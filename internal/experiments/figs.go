@@ -14,12 +14,16 @@ import (
 )
 
 // Fig5Point is one barrier setting of Fig 5: memory footprint versus
-// mean update time under the random and BGP-inspired sequences.
+// mean update time under the random and BGP-inspired sequences, with
+// the mean visited-node count (pdag.DAG.UpdateVisits) per update as
+// the timer-free measure of the same cost.
 type Fig5Point struct {
-	Lambda     int
-	ModelBytes int
-	RandomUS   float64 // mean µs per random update
-	BGPUS      float64 // mean µs per BGP-like update
+	Lambda      int
+	ModelBytes  int
+	RandomUS    float64 // mean µs per random update
+	BGPUS       float64 // mean µs per BGP-like update
+	RandomNodes float64 // mean nodes visited per random update
+	BGPNodes    float64 // mean nodes visited per BGP-like update
 }
 
 // RunFig5 regenerates Fig 5 on the taz instance: sweep λ over [0, 32],
@@ -35,7 +39,7 @@ func RunFig5(cfg Config, lambdas []int, runs, updates int, w io.Writer) ([]Fig5P
 	}
 	fprintf(w, "Fig 5: update time vs memory footprint on taz (scale %.3g, %d×%d updates)\n",
 		cfg.Scale, runs, updates)
-	fprintf(w, "%3s %12s %14s %14s\n", "λ", "mem[bytes]", "random[µs]", "bgp[µs]")
+	fprintf(w, "%3s %12s %14s %14s %14s %14s\n", "λ", "mem[bytes]", "random[µs]", "bgp[µs]", "random[nodes]", "bgp[nodes]")
 	var pts []Fig5Point
 	for _, lambda := range lambdas {
 		p := Fig5Point{Lambda: lambda}
@@ -44,22 +48,26 @@ func RunFig5(cfg Config, lambdas []int, runs, updates int, w io.Writer) ([]Fig5P
 			return nil, err
 		}
 		p.ModelBytes = d.ModelBytes()
-		p.RandomUS, err = measureUpdates(cfg, t, lambda, runs, updates, false)
+		p.RandomUS, p.RandomNodes, err = measureUpdates(cfg, t, lambda, runs, updates, false)
 		if err != nil {
 			return nil, err
 		}
-		p.BGPUS, err = measureUpdates(cfg, t, lambda, runs, updates, true)
+		p.BGPUS, p.BGPNodes, err = measureUpdates(cfg, t, lambda, runs, updates, true)
 		if err != nil {
 			return nil, err
 		}
 		pts = append(pts, p)
-		fprintf(w, "%3d %12d %14.2f %14.2f\n", p.Lambda, p.ModelBytes, p.RandomUS, p.BGPUS)
+		fprintf(w, "%3d %12d %14.2f %14.2f %14.1f %14.1f\n", p.Lambda, p.ModelBytes, p.RandomUS, p.BGPUS, p.RandomNodes, p.BGPNodes)
 	}
 	return pts, nil
 }
 
-func measureUpdates(cfg Config, t *fib.Table, lambda, runs, updates int, bgp bool) (float64, error) {
+// measureUpdates replays `runs` seeded update sequences against fresh
+// DAGs, returning the mean µs and the mean visited-node count per
+// update.
+func measureUpdates(cfg Config, t *fib.Table, lambda, runs, updates int, bgp bool) (us, nodes float64, err error) {
 	var total time.Duration
+	var visits uint64
 	count := 0
 	for run := 0; run < runs; run++ {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(run*7919)))
@@ -71,20 +79,22 @@ func measureUpdates(cfg Config, t *fib.Table, lambda, runs, updates int, bgp boo
 		}
 		d, err := pdag.Build(t, lambda)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
+		v0 := d.UpdateVisits()
 		start := time.Now()
 		for _, u := range us {
 			if u.Withdraw {
 				d.Delete(u.Addr, u.Len)
 			} else if err := d.Set(u.Addr, u.Len, u.NextHop); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
 		total += time.Since(start)
+		visits += d.UpdateVisits() - v0
 		count += len(us)
 	}
-	return float64(total.Microseconds()) / float64(count), nil
+	return float64(total.Microseconds()) / float64(count), float64(visits) / float64(count), nil
 }
 
 // Fig6Point is one Bernoulli parameter of Fig 6: FIB entropy versus

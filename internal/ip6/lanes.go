@@ -102,6 +102,16 @@ func depth0Label(e, p uint32) uint32 {
 // walk with a one-entry nodes table and no shard bits, so the hot
 // loop exists exactly once.
 func (b *Blob) LookupBatchInto(dst []uint32, addrs []Addr) {
+	if b.RootBase != 0 || len(b.Root) != 1<<uint(b.Lambda) {
+		// A shard blob carries only its window at offset RootBase,
+		// which the merged fetch pass cannot index; walk it scalar
+		// (the sharded engine splices windows into a merged root and
+		// never takes this path).
+		for i, a := range addrs {
+			dst[i] = b.Lookup(a)
+		}
+		return
+	}
 	nodes := [1][]uint32{b.Nodes}
 	LookupBatchMerged(dst, addrs, b.Root, nodes[:], 0, b.Lambda)
 }

@@ -103,6 +103,13 @@ func (ls *laneStateV2) run(dst []uint32, q0 int) {
 // be at least len(addrs) long. As in v1, the single-blob walk is the
 // merged walk with a one-entry words table and no shard bits.
 func (b *BlobV2) LookupBatchInto(dst []uint32, addrs []Addr) {
+	if b.RootBase != 0 || len(b.Root) != 1<<uint(b.Lambda) {
+		// A shard window: scalar, as for Blob.
+		for i, a := range addrs {
+			dst[i] = b.Lookup(a)
+		}
+		return
+	}
 	words := [1][]uint32{b.Words}
 	LookupBatchMergedV2(dst, addrs, b.Root, words[:], 0, b.Lambda)
 }

@@ -58,6 +58,16 @@ type DAG struct {
 	serialList  []*dnode
 	serialStack []*dnode
 
+	// Serving window, fixed at fold time (see FromTrieWindow): the
+	// DAG's serialized blobs carry only the root slots
+	// [rootBase, rootBase+rootLen) its shard owns and the folded
+	// regions of the dirty-tracking groups [groupLo, groupHi) covering
+	// them — no lookup routed to the shard ever reads another slot. An
+	// unsharded DAG is the k=0 window: the whole root array, every
+	// group.
+	rootBase, rootLen int
+	groupLo, groupHi  int
+
 	// Dirty-subtree tracking (see serial.go): mutGen counts control
 	// mutations, lastMut records per root-stride group the generation
 	// that last touched it, and geo1/geo2 hold each serialized
@@ -145,18 +155,7 @@ func (d *DAG) nextEpoch() {
 
 // Build folds an IPv6 table with leaf-push barrier lambda ∈ [0, 128].
 func Build(t *Table, lambda int) (*DAG, error) {
-	if lambda < 0 || lambda > W {
-		return nil, fmt.Errorf("ip6: barrier λ=%d out of [0,%d]", lambda, W)
-	}
-	d := &DAG{
-		Lambda:  lambda,
-		control: FromTable(t),
-		sub:     map[[2]uint64]*dnode{},
-		leaves:  map[uint32]*dnode{},
-	}
-	d.lastMut = make([]uint64, 1<<uint(d.groupBits()))
-	d.root = d.buildUp(d.control.Root, 0)
-	return d, nil
+	return newDAG(FromTable(t), lambda, 0, 0, nil)
 }
 
 // FromTrie folds a prefix trie with leaf-push barrier lambda. The
@@ -164,18 +163,61 @@ func Build(t *Table, lambda int) (*DAG, error) {
 // trie stays independent — the contract shardfib relies on when it
 // refolds a shard's control trie for an unserializable barrier.
 func FromTrie(tr *Trie, lambda int) (*DAG, error) {
+	return newDAG(tr.Clone(), lambda, 0, 0, nil)
+}
+
+// FromTrieWindow is FromTrie for shard `shard` of the 2^shardBits
+// slices of the address space cut by the top shardBits bits (shardBits
+// ≤ 8): the DAG's serialized blobs carry only the root slots of that
+// window (Blob.RootBase names where they sit in the full 2^λ array;
+// when shardBits > λ it is the one slot covering the shard) and the
+// folded regions of the groups covering them. The control FIB still
+// holds whatever the caller put in it, and the DAG-level Lookup still
+// answers for every address; only serialized lookups are confined to
+// the window.
+func FromTrieWindow(tr *Trie, lambda, shard, shardBits int) (*DAG, error) {
+	return newDAG(tr.Clone(), lambda, shard, shardBits, nil)
+}
+
+// newDAG folds the control trie ctl, which the DAG takes ownership of,
+// into a DAG serving window (shard, shardBits), folding into sp when
+// it is non-nil.
+func newDAG(ctl *Trie, lambda, shard, shardBits int, sp *Space6) (*DAG, error) {
 	if lambda < 0 || lambda > W {
 		return nil, fmt.Errorf("ip6: barrier λ=%d out of [0,%d]", lambda, W)
 	}
-	d := &DAG{
-		Lambda:  lambda,
-		control: tr.Clone(),
-		sub:     map[[2]uint64]*dnode{},
-		leaves:  map[uint32]*dnode{},
+	if shardBits < 0 || shardBits > groupBitsMax || shard < 0 || shard >= 1<<uint(shardBits) {
+		return nil, fmt.Errorf("ip6: shard %d of 2^%d outside the window range (shard bits ≤ %d)", shard, shardBits, groupBitsMax)
 	}
-	d.lastMut = make([]uint64, 1<<uint(d.groupBits()))
+	d := &DAG{Lambda: lambda, control: ctl}
+	if sp != nil {
+		d.sub, d.leaves, d.space = sp.sub, sp.leaves, sp
+	} else {
+		d.sub, d.leaves = map[[2]uint64]*dnode{}, map[uint32]*dnode{}
+	}
+	d.rootBase, d.rootLen = windowRange(shard, shardBits, lambda)
+	gb := d.groupBits()
+	d.groupLo, d.groupHi = windowRange(shard, shardBits, gb)
+	d.groupHi += d.groupLo
+	d.lastMut = make([]uint64, 1<<uint(gb))
 	d.root = d.buildUp(d.control.Root, 0)
 	return d, nil
+}
+
+// windowRange reports the run [base, base+n) of the 2^depth slots at
+// a depth that shard `shard` of 2^k covers: 2^(depth−k) slots when
+// k ≤ depth, else the one slot whose subtree contains the shard.
+// Depths past the serializable barrier report an empty run; nothing
+// serializes there.
+func windowRange(shard, k, depth int) (base, n int) {
+	if depth > maxSerialLambda {
+		return 0, 0
+	}
+	if k <= depth {
+		n = 1 << uint(depth-k)
+		return shard * n, n
+	}
+	return shard >> uint(k-depth), 1
 }
 
 func (d *DAG) buildUp(cn *Node, depth int) *dnode {

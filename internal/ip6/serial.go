@@ -7,16 +7,26 @@ import (
 
 // Blob is the serialized, read-only lookup structure for the IPv6
 // DAG — the same two-word-per-interior-node encoding as the IPv4 v1
-// blob (pdag.Blob), with the 2^λ-entry root array indexed by the top
-// λ bits of the 128-bit address. Each root entry packs the inherited
-// default label with a pointer into the folded region; leaves are
-// inlined into their parent's words. Below the barrier a walk
-// consumes one address bit per node word, streamed out of the
-// (Hi, Lo) pair like a 128-bit shift register.
+// blob (pdag.Blob), with the root array indexed by the top λ bits of
+// the 128-bit address. Each root entry packs the inherited default
+// label with a pointer into the folded region; leaves are inlined
+// into their parent's words. Below the barrier a walk consumes one
+// address bit per node word, streamed out of the (Hi, Lo) pair like a
+// 128-bit shift register.
+//
+// A blob carries only its DAG's serving window (FromTrieWindow): the
+// root slots of one shard and the folded regions of the groups
+// covering them. An unsharded DAG's window is the whole 2^λ array.
 type Blob struct {
 	Lambda int
-	Root   []uint32 // 2^λ entries: def<<24 | payload
+	Root   []uint32 // the window's root entries: def<<24 | payload
 	Nodes  []uint32 // 2 words per interior node: payload each
+
+	// RootBase is the logical offset of Root[0] within the full
+	// 2^λ-entry root array, as on pdag.Blob: walks subtract it before
+	// indexing Root, so only addresses inside the window may be looked
+	// up.
+	RootBase int
 
 	// Incremental-republish stamps (see SerializeInto): the DAG whose
 	// group geometry laid this buffer out, the generation of that
@@ -42,7 +52,9 @@ const maxSerialLambda = 24
 
 // groupBitsMax bounds the dirty-tracking granularity: the root array
 // is partitioned by its top min(λ, 8) bits into at most 256 contiguous
-// groups, each owning a stable region of the folded buffers. The
+// groups, each owning a stable region of the folded buffers. It also
+// bounds the shard bits of a serving window, so a window is either a
+// run of whole groups or (k > λ) one slot that is itself a group. The
 // trade is re-emission cost against per-group slack and bookkeeping:
 // a steady-churn republish re-emits ~1/256 of the folded region per
 // dirty buffer generation, while the fixed slack each group carries
@@ -120,11 +132,12 @@ func (d *DAG) markDirty(a Addr, plen int) {
 }
 
 // groupPlan walks the plain region above the group depth once,
-// recording for every group the subtree hanging at its path and the
-// default label in force there — the per-group inputs both
-// serializers hand to fillRoot. Folded nodes hang exactly at depth λ,
-// so at group depth min(λ, 6) a group's subtree is a plain node, a
-// folded node (λ ≤ 6), or nil; never a folded node spanning groups.
+// recording for every group of the window the subtree hanging at its
+// path and the default label in force there — the per-group inputs
+// both serializers hand to fillRoot. Folded nodes hang exactly at
+// depth λ, so at group depth min(λ, 8) a group's subtree is a plain
+// node, a folded node (λ ≤ 8), or nil; never a folded node spanning
+// groups. Subtrees wholly outside the window are not visited.
 func (d *DAG) groupPlan() {
 	gb := d.groupBits()
 	n := 1 << uint(gb)
@@ -138,10 +151,15 @@ func (d *DAG) groupPlan() {
 }
 
 func (d *DAG) planWalk(n *dnode, v uint32, depth int, def uint32, gb int) {
+	lo := int(v) << uint(gb-depth)
+	hi := lo + 1<<uint(gb-depth)
+	if hi <= d.groupLo || lo >= d.groupHi {
+		return
+	}
 	if depth == gb || n == nil || n.kind != kindUp {
-		lo := int(v) << uint(gb-depth)
-		hi := lo + 1<<uint(gb-depth)
-		for g := lo; g < hi; g++ {
+		// Window and node ranges are both aligned power-of-two runs, so
+		// one contains the other.
+		for g := max(lo, d.groupLo); g < min(hi, d.groupHi); g++ {
 			d.groupNode[g] = n
 			d.groupDef[g] = def
 		}
@@ -164,8 +182,9 @@ func (d *DAG) Serialize() (*Blob, error) {
 
 // SerializeInto freezes the DAG into b, reusing b's Root and Nodes
 // buffers when their capacity suffices; b == nil allocates a fresh
-// blob. The folded region is laid out group by group (one group per
-// top min(λ, 6) root bits), each group serialized under its own
+// blob. Only the DAG's window is emitted (see FromTrieWindow). The
+// folded region is laid out group by group (one group per top
+// min(λ, 8) root bits), each group serialized under its own
 // stamping epoch so hash-consed sharing stays confined within the
 // group — the invariant that makes regions independent. When b was
 // last written by this DAG under the current group layout, only the
@@ -180,10 +199,11 @@ func (d *DAG) SerializeInto(b *Blob) (*Blob, error) {
 	if d.Lambda > maxSerialLambda {
 		return nil, fmt.Errorf("ip6: cannot serialize with barrier λ=%d > %d", d.Lambda, maxSerialLambda)
 	}
-	rootLen := 1 << uint(d.Lambda)
+	rootLen := d.rootLen
 	d.groupPlan()
 	if b != nil && b.owner == d && d.geo1.gen != 0 && b.geoGen == d.geo1.gen &&
-		b.Lambda == d.Lambda && len(b.Root) == rootLen && len(b.Nodes) == 2*int(d.geo1.total) {
+		b.Lambda == d.Lambda && b.RootBase == d.rootBase && len(b.Root) == rootLen &&
+		len(b.Nodes) == 2*int(d.geo1.total) {
 		if err := d.emitDirtyV1(b); err == nil {
 			b.gen = d.mutGen
 			return b, nil
@@ -194,7 +214,7 @@ func (d *DAG) SerializeInto(b *Blob) (*Blob, error) {
 	if b == nil {
 		b = &Blob{}
 	}
-	b.Lambda = d.Lambda
+	b.Lambda, b.RootBase = d.Lambda, d.rootBase
 	if cap(b.Root) >= rootLen {
 		b.Root = b.Root[:rootLen]
 	} else {
@@ -221,10 +241,11 @@ func (d *DAG) SerializeInto(b *Blob) (*Blob, error) {
 	return b, nil
 }
 
-// emitDirtyV1 re-emits only the groups mutated since b's generation;
-// everything else in b is already bit-exact for the current DAG.
+// emitDirtyV1 re-emits only the window's groups mutated since b's
+// generation; everything else in b is already bit-exact for the
+// current DAG.
 func (d *DAG) emitDirtyV1(b *Blob) error {
-	for g := range d.lastMut {
+	for g := d.groupLo; g < d.groupHi; g++ {
 		if d.lastMut[g] <= b.gen {
 			continue
 		}
@@ -235,13 +256,14 @@ func (d *DAG) emitDirtyV1(b *Blob) error {
 	return nil
 }
 
-// emitAllV1 serializes every group. With relayout, groups are packed
-// at fresh bases with slack (used/8 + 8 node slots each) and the
-// geometry generation advances; otherwise the existing regions are
-// reused so the buffer stays exchangeable with its double-buffer twin.
+// emitAllV1 serializes every group of the window. With relayout,
+// groups are packed at fresh bases with slack (used/8 + 8 node slots
+// each) and the geometry generation advances; otherwise the existing
+// regions are reused so the buffer stays exchangeable with its
+// double-buffer twin. Groups outside the window get neither slots nor
+// slack.
 func (d *DAG) emitAllV1(b *Blob, relayout bool) error {
-	groups := 1 << uint(d.groupBits())
-	d.geo1.ensure(groups)
+	d.geo1.ensure(len(d.lastMut))
 	if !relayout {
 		need := 2 * int(d.geo1.total)
 		if need > cap(b.Nodes) {
@@ -249,7 +271,7 @@ func (d *DAG) emitAllV1(b *Blob, relayout bool) error {
 		} else {
 			b.Nodes = b.Nodes[:need]
 		}
-		for g := 0; g < groups; g++ {
+		for g := d.groupLo; g < d.groupHi; g++ {
 			if err := d.emitGroupV1(b, g, d.geo1.base[g]+d.geo1.capn[g], false); err != nil {
 				return err
 			}
@@ -257,7 +279,7 @@ func (d *DAG) emitAllV1(b *Blob, relayout bool) error {
 		return nil
 	}
 	watermark := uint32(0)
-	for g := 0; g < groups; g++ {
+	for g := d.groupLo; g < d.groupHi; g++ {
 		d.geo1.base[g] = watermark
 		if err := d.emitGroupV1(b, g, serialNoLimit, true); err != nil {
 			return err
@@ -318,14 +340,15 @@ func (d *DAG) emitGroupV1(b *Blob, g int, limit uint32, grow bool) error {
 }
 
 // fillRoot writes the root-array entries covered by the plain-region
-// node n at depth, i.e. slots [v<<(λ-depth), (v+1)<<(λ-depth)). def is
+// node n at depth, i.e. slots [v<<(λ-depth), (v+1)<<(λ-depth)), which
+// lie in the window and land in root at their offset from rootBase. def is
 // the last label seen on the path, the inherited default packed into
 // bits 24..31 of each entry. Folded subtrees cover their whole slot
 // range with one payload: the index assign gives their interior or
 // stride node — both serialized formats share this pass and differ
 // only in what assign emits.
 func (d *DAG) fillRoot(root []uint32, n *dnode, v uint32, depth int, def uint32, assign func(*dnode) (uint32, error)) error {
-	lo := int(v) << uint(d.Lambda-depth)
+	lo := int(v)<<uint(d.Lambda-depth) - d.rootBase
 	hi := lo + 1<<uint(d.Lambda-depth)
 	if n == nil {
 		fillWords(root[lo:hi], def<<24|blobNone)
@@ -449,9 +472,10 @@ func shiftCursor(addr Addr, lambda int) (hi, lo uint64) {
 
 // Lookup performs longest prefix match on the serialized form: one
 // root-array access plus one node-word access per level below the
-// barrier, each consuming one bit of the 128-bit shift register.
+// barrier, each consuming one bit of the 128-bit shift register. addr
+// must fall inside the blob's window.
 func (b *Blob) Lookup(addr Addr) uint32 {
-	ri := int(addr.Hi >> uint(64-b.Lambda))
+	ri := int(addr.Hi>>uint(64-b.Lambda)) - b.RootBase
 	e := b.Root[ri]
 	best := e >> 24
 	pay := e & 0x00FFFFFF

@@ -163,17 +163,46 @@ func TestSerializeIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+// fuzzShardBits are the shard-bit counts the lookup fuzzers' window
+// arm picks from.
+var fuzzShardBits = [...]int{0, 1, 4, 8}
+
+// fuzzShard picks the window a fuzz case folds into: the k-bit shard
+// of the first op's address, so the window is where the updates land.
+func fuzzShard(ops []byte, k int) int {
+	if k == 0 || len(ops) < 18 {
+		return 0
+	}
+	var hi uint64
+	for i := 0; i < 8; i++ {
+		hi = hi<<8 | uint64(ops[2+i])
+	}
+	return int(hi >> uint(64-k))
+}
+
 // FuzzLookup6 drives the IPv6 DAG with an arbitrary byte-encoded
 // update sequence at an arbitrary barrier, serializes it, and pins
 // the blob's scalar walk and interleaved batch lanes bit-identical to
-// the trie reference — the ip6 twin of the v1/v2 pdag fuzzers.
+// the trie reference — the ip6 twin of the v1/v2 pdag fuzzers. The
+// window arm folds the DAG as one shard of 2^k (k from lambdaRaw/25;
+// the shard of the first op's address) and probes only inside it:
+// every op still lands in the DAG, so out-of-window churn and short
+// prefixes covering the window are both exercised.
 func FuzzLookup6(f *testing.F) {
 	f.Add([]byte{1, 48, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(16))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(0))
 	f.Add([]byte{2, 128, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255, 255}, uint8(24))
+	// k=4, λ=16: a /2 replicated across shards 4..7, then a /32 inside
+	// shard 4.
+	f.Add([]byte{
+		1, 2, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		2, 32, 0x40, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+	}, uint8(66))
 	f.Fuzz(func(t *testing.T, ops []byte, lambdaRaw uint8) {
 		lambda := int(lambdaRaw) % (maxSerialLambda + 1)
-		d, err := Build(New(), lambda)
+		k := fuzzShardBits[int(lambdaRaw)/(maxSerialLambda+1)%len(fuzzShardBits)]
+		shard := fuzzShard(ops, k)
+		d, err := FromTrieWindow(NewTrie(), lambda, shard, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,22 +238,26 @@ func FuzzLookup6(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A deterministic spread of the space joins the targeted probes.
+		// A deterministic spread of the space joins the targeted
+		// probes; all of them are moved into the window.
 		for i := uint64(0); i < 64; i++ {
 			probes = append(probes, Addr{
 				Hi: i * 0x0400000000000001,
 				Lo: i * 0x9E3779B97F4A7C15,
 			})
 		}
+		for i := range probes {
+			probes[i] = inShard(probes[i], shard, k)
+		}
 		dst := make([]uint32, len(probes))
 		b.LookupBatchInto(dst, probes)
 		for i, a := range probes {
 			want := oracle.Lookup(a)
 			if got := b.Lookup(a); got != want {
-				t.Fatalf("λ=%d scalar divergence at %s: %d != %d", lambda, a, got, want)
+				t.Fatalf("λ=%d k=%d scalar divergence at %s: %d != %d", lambda, k, a, got, want)
 			}
 			if dst[i] != want {
-				t.Fatalf("λ=%d lanes divergence at %s: %d != %d", lambda, a, dst[i], want)
+				t.Fatalf("λ=%d k=%d lanes divergence at %s: %d != %d", lambda, k, a, dst[i], want)
 			}
 		}
 	})

@@ -6,8 +6,8 @@ import (
 )
 
 // BlobV2 is the stride-compressed serialized IPv6 lookup structure:
-// the same 2^λ-entry root array as Blob (so the shardfib merged-root
-// splice works unchanged), but with the folded region level-compressed
+// the same root window as Blob (so the shardfib merged-root splice
+// works unchanged), but with the folded region level-compressed
 // into stride-4 tree-bitmap nodes, exactly the IPv4 v2 format
 // (pdag.BlobV2) widened to 128-bit walks. Where Blob spends one
 // dependent memory touch per trie level below the barrier — up to
@@ -31,9 +31,10 @@ import (
 // words are explicit offsets, so a subtree shared across barrier
 // slots or stride parents is emitted once per group and referenced.
 type BlobV2 struct {
-	Lambda int
-	Root   []uint32 // 2^λ entries, same encoding as Blob.Root
-	Words  []uint32 // stride-node records, variable length
+	Lambda   int
+	Root     []uint32 // the window's root entries, encoded as Blob.Root
+	Words    []uint32 // stride-node records, variable length
+	RootBase int      // offset of Root[0] in the full 2^λ array, as on Blob
 
 	// Incremental-republish stamps, exactly as on Blob.
 	owner  *DAG
@@ -119,10 +120,11 @@ func (d *DAG) SerializeV2Into(b *BlobV2) (*BlobV2, error) {
 	if d.Lambda > maxSerialLambda {
 		return nil, fmt.Errorf("ip6: cannot serialize with barrier λ=%d > %d", d.Lambda, maxSerialLambda)
 	}
-	rootLen := 1 << uint(d.Lambda)
+	rootLen := d.rootLen
 	d.groupPlan()
 	if b != nil && b.owner == d && d.geo2.gen != 0 && b.geoGen == d.geo2.gen &&
-		b.Lambda == d.Lambda && len(b.Root) == rootLen && len(b.Words) == int(d.geo2.total) {
+		b.Lambda == d.Lambda && b.RootBase == d.rootBase && len(b.Root) == rootLen &&
+		len(b.Words) == int(d.geo2.total) {
 		if err := d.emitDirtyV2(b); err == nil {
 			b.gen = d.mutGen
 			return b, nil
@@ -131,7 +133,7 @@ func (d *DAG) SerializeV2Into(b *BlobV2) (*BlobV2, error) {
 	if b == nil {
 		b = &BlobV2{}
 	}
-	b.Lambda = d.Lambda
+	b.Lambda, b.RootBase = d.Lambda, d.rootBase
 	if cap(b.Root) >= rootLen {
 		b.Root = b.Root[:rootLen]
 	} else {
@@ -154,9 +156,10 @@ func (d *DAG) SerializeV2Into(b *BlobV2) (*BlobV2, error) {
 	return b, nil
 }
 
-// emitDirtyV2 re-emits only the groups mutated since b's generation.
+// emitDirtyV2 re-emits only the window's groups mutated since b's
+// generation.
 func (d *DAG) emitDirtyV2(b *BlobV2) error {
-	for g := range d.lastMut {
+	for g := d.groupLo; g < d.groupHi; g++ {
 		if d.lastMut[g] <= b.gen {
 			continue
 		}
@@ -167,12 +170,12 @@ func (d *DAG) emitDirtyV2(b *BlobV2) error {
 	return nil
 }
 
-// emitAllV2 serializes every group; see emitAllV1 for the relayout
-// contract (shared geometry across double-buffered twins, slack on
-// re-layout, generation advance only when bases move).
+// emitAllV2 serializes every group of the window; see emitAllV1 for
+// the relayout contract (shared geometry across double-buffered
+// twins, slack on re-layout, generation advance only when bases
+// move, no slack outside the window).
 func (d *DAG) emitAllV2(b *BlobV2, relayout bool) error {
-	groups := 1 << uint(d.groupBits())
-	d.geo2.ensure(groups)
+	d.geo2.ensure(len(d.lastMut))
 	if !relayout {
 		need := int(d.geo2.total)
 		if need > cap(b.Words) {
@@ -180,7 +183,7 @@ func (d *DAG) emitAllV2(b *BlobV2, relayout bool) error {
 		} else {
 			b.Words = b.Words[:need]
 		}
-		for g := 0; g < groups; g++ {
+		for g := d.groupLo; g < d.groupHi; g++ {
 			if err := d.emitGroupV2(b, g, d.geo2.base[g]+d.geo2.capn[g], false); err != nil {
 				return err
 			}
@@ -188,7 +191,7 @@ func (d *DAG) emitAllV2(b *BlobV2, relayout bool) error {
 		return nil
 	}
 	watermark := uint32(0)
-	for g := 0; g < groups; g++ {
+	for g := d.groupLo; g < d.groupHi; g++ {
 		d.geo2.base[g] = watermark
 		if err := d.emitGroupV2(b, g, serialNoLimit, true); err != nil {
 			return err
@@ -332,7 +335,7 @@ func emitStride(words []uint32, off uint32, s *strideExp) {
 // the remaining address bits streamed out of the (hi, lo) shift
 // register a nibble at a time. depth counts stride records entered.
 func lookupWalkV2(b *BlobV2, addr Addr) (label uint32, depth int) {
-	ri := int(addr.Hi >> uint(64-b.Lambda))
+	ri := int(addr.Hi>>uint(64-b.Lambda)) - b.RootBase
 	e := b.Root[ri]
 	best := e >> 24
 	pay := e & 0x00FFFFFF
@@ -382,7 +385,8 @@ func lookupWalkV2(b *BlobV2, addr Addr) (label uint32, depth int) {
 }
 
 // Lookup performs longest prefix match on the stride-compressed form,
-// bit-identical to Blob.Lookup on the same DAG.
+// bit-identical to Blob.Lookup on the same DAG. addr must fall inside
+// the blob's window.
 func (b *BlobV2) Lookup(addr Addr) uint32 {
 	label, _ := lookupWalkV2(b, addr)
 	return label

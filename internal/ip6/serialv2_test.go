@@ -240,9 +240,13 @@ func TestSerializeV2IntoZeroAllocs(t *testing.T) {
 // in both formats, and pins the v2 scalar walk and stride lanes
 // bit-identical to the trie reference and to the v1 blob; a second
 // label-flip phase then republishes into the same buffers through the
-// dirty path and rechecks. The seed corpus in testdata/ pins the
-// stride-boundary shapes (inlined depth-4 leaves right at the first
-// stride, the 128-bit analogue of the v4 width-boundary bug).
+// dirty path and rechecks. The window arm (k from bits 2..3 of
+// lambdaRaw) folds the DAG as the k-bit shard of the first op's
+// address and probes only inside that window, as FuzzLookup6 does.
+// The seed corpus in testdata/ pins the stride-boundary shapes
+// (inlined depth-4 leaves right at the first stride, the 128-bit
+// analogue of the v4 width-boundary bug) and a short prefix
+// replicated across shards.
 func FuzzLookup6V2(f *testing.F) {
 	f.Add([]byte{1, 48, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(2))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(0))
@@ -252,7 +256,9 @@ func FuzzLookup6V2(f *testing.F) {
 	f.Add([]byte{1, 20, 0x20, 0x01, 0x0d, 0xb8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(2))
 	f.Fuzz(func(t *testing.T, ops []byte, lambdaRaw uint8) {
 		lambda := [...]int{0, 8, 16, 26}[lambdaRaw%4]
-		d, err := Build(New(), lambda)
+		k := fuzzShardBits[(lambdaRaw>>2)%4]
+		shard := fuzzShard(ops, k)
+		d, err := FromTrieWindow(NewTrie(), lambda, shard, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,12 +306,16 @@ func FuzzLookup6V2(f *testing.F) {
 			}
 			return
 		}
-		// A deterministic spread of the space joins the targeted probes.
+		// A deterministic spread of the space joins the targeted
+		// probes; all of them are moved into the window.
 		for i := uint64(0); i < 64; i++ {
 			probes = append(probes, Addr{
 				Hi: i * 0x0400000000000001,
 				Lo: i * 0x9E3779B97F4A7C15,
 			})
+		}
+		for i := range probes {
+			probes[i] = inShard(probes[i], shard, k)
 		}
 		b1, err := d.Serialize()
 		if err != nil {
@@ -321,13 +331,13 @@ func FuzzLookup6V2(f *testing.F) {
 			for i, a := range probes {
 				want := oracle.Lookup(a)
 				if got := b1.Lookup(a); got != want {
-					t.Fatalf("λ=%d %s v1 divergence at %s: %d != %d", lambda, phase, a, got, want)
+					t.Fatalf("λ=%d k=%d %s v1 divergence at %s: %d != %d", lambda, k, phase, a, got, want)
 				}
 				if got := b2.Lookup(a); got != want {
-					t.Fatalf("λ=%d %s v2 scalar divergence at %s: %d != %d", lambda, phase, a, got, want)
+					t.Fatalf("λ=%d k=%d %s v2 scalar divergence at %s: %d != %d", lambda, k, phase, a, got, want)
 				}
 				if dst[i] != want {
-					t.Fatalf("λ=%d %s v2 lanes divergence at %s: %d != %d", lambda, phase, a, dst[i], want)
+					t.Fatalf("λ=%d k=%d %s v2 lanes divergence at %s: %d != %d", lambda, k, phase, a, dst[i], want)
 				}
 			}
 		}

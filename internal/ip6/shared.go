@@ -1,9 +1,6 @@
 package ip6
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // Space6 is the IPv6 shared hash-cons universe: the sub-trie index and
 // leaf table of §4.1 spanned across many tenant DAGs, so an isomorphic
@@ -12,7 +9,12 @@ import (
 // shared serialized arena — the v6 serializers' dirty-subtree group
 // geometry is inherently per-DAG, so each tenant publishes its own
 // blob buffers and the cross-tenant saving is in the model (writer)
-// memory, not the serialized bytes. The space-wide epoch counter is
+// memory, not the serialized bytes. Those per-tenant blobs stay small
+// because each member DAG is folded with its shard window
+// (FromTrieShared): a shard blob carries only that shard's root slots
+// and the folded groups covering them, so an empty tenant costs
+// 2^(λ−k) root words plus one slack region per covering group per
+// shard, not a full 2^λ root per shard. The space-wide epoch counter is
 // what keeps those per-tenant serializations sound: stamps written on
 // shared nodes through one member DAG can never alias an epoch another
 // member draws.
@@ -45,24 +47,12 @@ func (sp *Space6) Unlock() { sp.mu.Unlock() }
 // across every member DAG.
 func (sp *Space6) FoldedInterior() int { return len(sp.sub) }
 
-// FromTrieShared is FromTrie folding into a shared space: the DAG's
-// sub-trie index and leaf table are the space's own maps, and interior
-// ids draw from the space-wide counter so cons keys never collide
-// across members. The caller must hold the space lock.
-func FromTrieShared(sp *Space6, tr *Trie, lambda int) (*DAG, error) {
-	if lambda < 0 || lambda > W {
-		return nil, fmt.Errorf("ip6: barrier λ=%d out of [0,%d]", lambda, W)
-	}
-	d := &DAG{
-		Lambda:  lambda,
-		control: tr.Clone(),
-		sub:     sp.sub,
-		leaves:  sp.leaves,
-		space:   sp,
-	}
-	d.lastMut = make([]uint64, 1<<uint(d.groupBits()))
-	d.root = d.buildUp(d.control.Root, 0)
-	return d, nil
+// FromTrieShared is FromTrieWindow folding into a shared space: the
+// DAG's sub-trie index and leaf table are the space's own maps, and
+// interior ids draw from the space-wide counter so cons keys never
+// collide across members. The caller must hold the space lock.
+func FromTrieShared(sp *Space6, tr *Trie, lambda, shard, shardBits int) (*DAG, error) {
+	return newDAG(tr.Clone(), lambda, shard, shardBits, sp)
 }
 
 // Release drops every folded reference the DAG's plain region holds,

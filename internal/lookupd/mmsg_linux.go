@@ -42,6 +42,16 @@ type burstConn struct {
 	recvHdrs [burstSize]mmsghdr
 	sendIovs [burstSize]syscall.Iovec
 	sendHdrs [burstSize]mmsghdr
+
+	// The RawConn callbacks, bound once in newBurstConn. A closure
+	// capturing recv's or send's locals escapes into RawConn.Read/Write
+	// and costs heap objects on every burst; method values bound at
+	// construction, with their inputs and results in the fields below,
+	// cost nothing per call.
+	recvFn, sendFn func(fd uintptr) bool
+	n              uintptr       // datagrams moved by the last syscall
+	errno          syscall.Errno // its error
+	sent, out      int           // sendOnce's window: slots [sent, out)
 }
 
 // newBurstConn builds the burst wrapper, or returns nil if the conn
@@ -53,6 +63,7 @@ func newBurstConn(conn *net.UDPConn) *burstConn {
 		return nil
 	}
 	b := &burstConn{rc: rc}
+	b.recvFn, b.sendFn = b.recvOnce, b.sendOnce
 	for i := 0; i < burstSize; i++ {
 		b.recvIovs[i].Base = &b.reqs[i][0]
 		b.recvIovs[i].SetLen(len(b.reqs[i]))
@@ -74,28 +85,30 @@ func newBurstConn(conn *net.UDPConn) *burstConn {
 // Shutdown's drain correct on the burst path). Returns the number of
 // datagrams received and the socket error, if any.
 func (b *burstConn) recv() (int, error) {
-	var n uintptr
-	var errno syscall.Errno
-	err := b.rc.Read(func(fd uintptr) bool {
-		for i := 0; i < burstSize; i++ {
-			// The kernel writes Namelen and n per message; reset both
-			// so a shorter peer address from the previous burst can't
-			// leak into this one.
-			b.recvHdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
-			b.recvHdrs[i].n = 0
-		}
-		n, _, errno = syscall.Syscall6(sysRecvmmsg, fd,
-			uintptr(unsafe.Pointer(&b.recvHdrs[0])), burstSize,
-			uintptr(syscall.MSG_DONTWAIT), 0, 0)
-		return errno != syscall.EAGAIN
-	})
-	if err != nil {
+	b.n, b.errno = 0, 0
+	if err := b.rc.Read(b.recvFn); err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if b.errno != 0 {
+		return 0, b.errno
 	}
-	return int(n), nil
+	return int(b.n), nil
+}
+
+// recvOnce is recv's RawConn.Read callback: one non-blocking
+// recvmmsg, reporting false on EAGAIN so the runtime parks.
+func (b *burstConn) recvOnce(fd uintptr) bool {
+	for i := 0; i < burstSize; i++ {
+		// The kernel writes Namelen and n per message; reset both so a
+		// shorter peer address from the previous burst can't leak into
+		// this one.
+		b.recvHdrs[i].hdr.Namelen = syscall.SizeofSockaddrAny
+		b.recvHdrs[i].n = 0
+	}
+	b.n, _, b.errno = syscall.Syscall6(sysRecvmmsg, fd,
+		uintptr(unsafe.Pointer(&b.recvHdrs[0])), burstSize,
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	return b.errno != syscall.EAGAIN
 }
 
 // send pushes out gathered replies with sendmmsg, resuming from the
@@ -103,25 +116,27 @@ func (b *burstConn) recv() (int, error) {
 // buffers can fill under burst load; the Write callback parks on
 // EAGAIN just like recv.
 func (b *burstConn) send(out int) error {
-	sent := 0
-	for sent < out {
-		var n uintptr
-		var errno syscall.Errno
-		err := b.rc.Write(func(fd uintptr) bool {
-			n, _, errno = syscall.Syscall6(sysSendmmsg, fd,
-				uintptr(unsafe.Pointer(&b.sendHdrs[sent])), uintptr(out-sent),
-				uintptr(syscall.MSG_DONTWAIT), 0, 0)
-			return errno != syscall.EAGAIN
-		})
-		if err != nil {
+	b.sent, b.out = 0, out
+	for b.sent < b.out {
+		b.n, b.errno = 0, 0
+		if err := b.rc.Write(b.sendFn); err != nil {
 			return err
 		}
-		if errno != 0 {
-			return errno
+		if b.errno != 0 {
+			return b.errno
 		}
-		sent += int(n)
+		b.sent += int(b.n)
 	}
 	return nil
+}
+
+// sendOnce is send's RawConn.Write callback: one non-blocking
+// sendmmsg of slots [sent, out), reporting false on EAGAIN.
+func (b *burstConn) sendOnce(fd uintptr) bool {
+	b.n, _, b.errno = syscall.Syscall6(sysSendmmsg, fd,
+		uintptr(unsafe.Pointer(&b.sendHdrs[b.sent])), uintptr(b.out-b.sent),
+		uintptr(syscall.MSG_DONTWAIT), 0, 0)
+	return b.errno != syscall.EAGAIN
 }
 
 // dispatchAll resolves one received burst: pin the serving views

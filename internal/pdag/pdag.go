@@ -90,6 +90,11 @@ type DAG struct {
 	freeNode *Node
 	scratch  trie.Arena
 
+	// visits counts the nodes the update path touches (see
+	// UpdateVisits): plain nodes walked above the barrier plus every
+	// hash-cons put of a folded node.
+	visits uint64
+
 	symOffset uint32 // string mode: symbol s stored as label s+1
 }
 
@@ -175,6 +180,7 @@ func (d *DAG) fold(tn *trie.Node) *Node {
 // acquireLeaf returns the coalesced leaf for a label (lp(s)),
 // creating it on first use, and takes one reference.
 func (d *DAG) acquireLeaf(label uint32) *Node {
+	d.visits++
 	if n, ok := d.leaves[label]; ok {
 		n.ref++
 		return n
@@ -191,6 +197,7 @@ func (d *DAG) acquireLeaf(label uint32) *Node {
 // children are the same coalesced leaf normalizes to that leaf,
 // maintaining the leaf-pushed normal form under updates.
 func (d *DAG) acquireNode(l, r *Node) *Node {
+	d.visits++
 	if l == r && l.kind == kindLeaf {
 		d.release(r) // two references in, one (on the leaf itself) out
 		return l

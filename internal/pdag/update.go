@@ -41,6 +41,16 @@ func (d *DAG) Delete(addr uint32, plen int) bool {
 	return true
 }
 
+// UpdateVisits reports the cumulative count of nodes the DAG's
+// construction and update path have touched: plain nodes walked above
+// the barrier and folded nodes put through the hash-cons index (every
+// node a fold or a §4.3 re-compression produces, shared or fresh) —
+// the visited-node cost Theorem 3 bounds by O(W + 2^(W−plen)) per
+// update. It counts work exactly, independent of timer resolution and
+// host load, so the difference across an update sequence is a
+// deterministic update cost.
+func (d *DAG) UpdateVisits() uint64 { return d.visits }
+
 // refresh re-synchronizes the DAG with the (already mutated) control
 // FIB along the path of addr, after a change at depth plen.
 func (d *DAG) refresh(addr uint32, plen int) {
@@ -59,6 +69,7 @@ func (d *DAG) syncUp(addr uint32, plen int) {
 }
 
 func (d *DAG) syncUpRec(cn *trie.Node, un *Node, addr uint32, q, plen int) *Node {
+	d.visits++
 	if cn == nil {
 		d.dropUp(un)
 		return nil
@@ -107,6 +118,7 @@ func (d *DAG) rebuildBelow(addr uint32, plen int) {
 	un := d.root
 	un.Label = cn.Label
 	for q := 0; q < d.Lambda-1; q++ {
+		d.visits++
 		var cc *trie.Node
 		var uc **Node
 		if fib.Bit(addr, q) == 0 {

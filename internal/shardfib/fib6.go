@@ -76,7 +76,9 @@ type shard6 struct {
 // snapshot6 is the frozen serving form of one IPv6 shard: the
 // serialized blob in the requested format when the barrier admits one
 // (λ ≤ 24), else a fresh fold of the shard's control trie. Exactly
-// one of blob, blob2 and dag is non-nil; either blob's root array
+// one of blob, blob2 and dag is non-nil. A blob carries only the
+// shard's window — its 2^(λ−k) root slots (one slot when k > λ) at
+// RootBase and the folded groups covering them — and that window
 // feeds the merged view (the two formats share the root-entry
 // encoding). readers follows the same pin/validate protocol as the
 // IPv4 snapshot.
@@ -97,6 +99,8 @@ func (s *snapshot6) lookup(addr ip6.Addr) uint32 {
 	return s.dag.Lookup(addr)
 }
 
+// rootArray exposes the snapshot's root window for the merged-root
+// splice; nil for a folded-DAG fallback snapshot.
 func (s *snapshot6) rootArray() []uint32 {
 	if s.blob != nil {
 		return s.blob.Root
@@ -105,6 +109,18 @@ func (s *snapshot6) rootArray() []uint32 {
 		return s.blob2.Root
 	}
 	return nil
+}
+
+// rootBase reports the offset of rootArray()[0] within the full 2^λ
+// root array.
+func (s *snapshot6) rootBase() int {
+	if s.blob != nil {
+		return s.blob.RootBase
+	}
+	if s.blob2 != nil {
+		return s.blob2.RootBase
+	}
+	return 0
 }
 
 func (sh *shard6) pin() *snapshot6 {
@@ -152,9 +168,10 @@ func (sh *shard6) publish(lambda int, format Format) {
 	}
 }
 
-// combined6 is the merged IPv6 serving view: the live 2^(λ-k) root
-// slots of every shard's blob concatenated in shard order, each
-// shard's folded-region node words, and the pinned backing snapshots.
+// combined6 is the merged IPv6 serving view: every shard blob's
+// 2^(λ-k)-slot root window (the whole of that blob's root array)
+// concatenated in shard order, each shard's folded-region node words,
+// and the pinned backing snapshots.
 type combined6 struct {
 	root  []uint32
 	nodes [][]uint32
@@ -197,7 +214,7 @@ func Build6Format(t *ip6.Table, lambda, shards int, format Format) (*FIB6, error
 	}
 	f.shift = uint(64 - f.shardBits)
 	for i, tr := range f.partition(t) {
-		d, err := ip6.FromTrie(tr, lambda)
+		d, err := ip6.FromTrieWindow(tr, lambda, i, f.shardBits)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +232,10 @@ func Build6Format(t *ip6.Table, lambda, shards int, format Format) (*FIB6, error
 // deduplicates isomorphic folded subtrees with every other member on
 // the writer side. Published blobs remain per-tenant (the v6
 // serializers' incremental group geometry is per-DAG), so the sharing
-// shows up in model bytes, not blob bytes. Serves v1 snapshots; the
+// shows up in model bytes, not blob bytes; each shard blob carries
+// only its window (2^(λ−k) root slots plus the covering groups'
+// folded regions and slack), so an empty tenant at λ=16, k=4 costs
+// 16 × 17 KB, not 16 full 2^16-entry roots. Serves v1 snapshots; the
 // barrier must satisfy k ≤ λ ≤ 16 so shards serve through the merged
 // root.
 func Build6Shared(sp *ip6.Space6, t *ip6.Table, lambda, shards int) (*FIB6, error) {
@@ -236,7 +256,7 @@ func Build6Shared(sp *ip6.Space6, t *ip6.Table, lambda, shards int) (*FIB6, erro
 	sp.Lock()
 	defer sp.Unlock()
 	for i, tr := range f.partition(t) {
-		d, err := ip6.FromTrieShared(sp, tr, lambda)
+		d, err := ip6.FromTrieShared(sp, tr, lambda, i, f.shardBits)
 		if err != nil {
 			return nil, err
 		}
@@ -399,7 +419,8 @@ func (f *FIB6) rebuildCombined() {
 		per := rootLen >> uint(f.shardBits)
 		for s := range f.shards {
 			lo := s * per
-			copy(c.root[lo:lo+per], c.snaps[s].rootArray()[lo:lo+per])
+			ra, base := c.snaps[s].rootArray(), c.snaps[s].rootBase()
+			copy(c.root[lo:lo+per], ra[lo-base:lo-base+per])
 		}
 	}
 	old := f.comb.Swap(c)
@@ -630,9 +651,9 @@ func (f *FIB6) Reload(t *ip6.Table) error {
 		var d *ip6.DAG
 		var err error
 		if f.space != nil {
-			d, err = ip6.FromTrieShared(f.space, tr, f.lambda)
+			d, err = ip6.FromTrieShared(f.space, tr, f.lambda, i, f.shardBits)
 		} else {
-			d, err = ip6.FromTrie(tr, f.lambda)
+			d, err = ip6.FromTrieWindow(tr, f.lambda, i, f.shardBits)
 		}
 		if err != nil {
 			return err
@@ -682,7 +703,8 @@ func (f *FIB6) ModelBytes() int {
 }
 
 // SizeBytes reports the summed byte size of the published serving
-// snapshots.
+// snapshots: per serialized shard, its root window and the folded
+// regions (with slack) of the groups covering it.
 func (f *FIB6) SizeBytes() int {
 	total := 0
 	for i := range f.shards {

@@ -200,7 +200,11 @@ func (r *Registry) SharedBytes() int {
 // UniqueBytes reports the per-tenant serving bytes outside the shared
 // arenas: the IPv6 blobs, which stay tenant-private (the v6
 // serializers' incremental geometry is per-DAG; cross-tenant v6
-// sharing is writer-side only).
+// sharing is writer-side only). Each v6 shard blob carries only its
+// window — 2^(λ6−k) root slots plus the folded regions and slack of
+// the groups covering them — so the count is the sum over tenants of
+// those windows, and an empty v6 engine at λ6=16 with 16 shards adds
+// 272 KB.
 func (r *Registry) UniqueBytes() int {
 	total := 0
 	for _, tn := range *r.tabs.Load() {
@@ -246,7 +250,7 @@ func (r *Registry) RegisterMetrics(reg *obs.Registry) {
 		func() uint64 { return uint64(r.Len()) })
 	reg.MustGaugeFunc("vrftab_shared_bytes", "", "Resident bytes of the shared IPv4 serving arenas, counted once across all tenants.",
 		func() uint64 { return uint64(r.SharedBytes()) })
-	reg.MustGaugeFunc("vrftab_unique_bytes", "", "Per-tenant serving bytes outside the shared arenas (IPv6 blobs).",
+	reg.MustGaugeFunc("vrftab_unique_bytes", "", "Per-tenant serving bytes outside the shared arenas (IPv6 shard blobs: root windows and folded regions).",
 		func() uint64 { return uint64(r.UniqueBytes()) })
 	reg.MustGaugeFunc("vrftab_folded_interior", `family="4"`, "Shared interior nodes |S| across all tenants.",
 		func() uint64 { v4, _ := r.FoldedInterior(); return uint64(v4) })

@@ -171,6 +171,24 @@ func TestSharedCollapse(t *testing.T) {
 	}
 }
 
+// TestUniqueBytesV4OnlyTenants pins what v4-only tenants cost outside
+// the shared arenas: their empty IPv6 engines, whose 16 shard blobs at
+// λ6=16 each carry only a 2^12-slot root window and the covering
+// groups' slack — at most 288 KB per tenant, not 16 full 2^16-entry
+// roots (4,352 KB). Byte counts, so the bound is exact.
+func TestUniqueBytesV4OnlyTenants(t *testing.T) {
+	const tenants = 64
+	r := New(11, 16, 16)
+	for id := 1; id <= tenants; id++ {
+		if _, err := r.Add(uint16(id), tenantTable(t, id, 200, 4), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, limit := r.UniqueBytes(), tenants*288<<10; got > limit {
+		t.Fatalf("%d v4-only tenants: UniqueBytes %d, want ≤ %d", tenants, got, limit)
+	}
+}
+
 // TestRegistryChurnIsolation drives updates into one tenant and
 // checks a co-tenant's answers never move — isolation under the §4.3
 // incremental update path with shared folding underneath.

@@ -206,13 +206,9 @@ func newDAG(ctl *Trie, lambda, shard, shardBits int, sp *Space6) (*DAG, error) {
 
 // windowRange reports the run [base, base+n) of the 2^depth slots at
 // a depth that shard `shard` of 2^k covers: 2^(depth−k) slots when
-// k ≤ depth, else the one slot whose subtree contains the shard.
-// Depths past the serializable barrier report an empty run; nothing
-// serializes there.
+// k ≤ depth, else the one slot whose subtree contains the shard. Past
+// the serializable barrier the run is meaningless and unused.
 func windowRange(shard, k, depth int) (base, n int) {
-	if depth > maxSerialLambda {
-		return 0, 0
-	}
 	if k <= depth {
 		n = 1 << uint(depth-k)
 		return shard * n, n

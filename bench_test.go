@@ -9,25 +9,19 @@
 package fibcomp_test
 
 import (
-	"encoding/binary"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
-	"time"
 
-	"fibcomp/internal/experiments"
 	"fibcomp/internal/fib"
 	"fibcomp/internal/gen"
 	"fibcomp/internal/hwsim"
 	"fibcomp/internal/ip6"
 	"fibcomp/internal/lctrie"
-	"fibcomp/internal/lookupd"
 	"fibcomp/internal/mdag"
 	"fibcomp/internal/ortc"
 	"fibcomp/internal/patricia"
 	"fibcomp/internal/pdag"
-	"fibcomp/internal/ribd"
 	"fibcomp/internal/shardfib"
 	"fibcomp/internal/trie"
 	"fibcomp/internal/xbw"
@@ -399,15 +393,15 @@ func BenchmarkIPv6_XBWLookup(b *testing.B) {
 	b.ReportMetric(float64(x.SizeBits())/8, "bytes")
 }
 
-// ---- Serving: parallel batch lookups, with and without route churn ----
+// ---- Serving: v1/v2 serialized-format pairs ----
 //
-// The flat prefix DAG is one mutable pointer structure: a server must
-// wrap it in an RWMutex to survive concurrent updates, so every batch
-// pays lock traffic and every update blocks all readers. The sharded
-// engine publishes 2^k independent DAGs behind atomic copy-on-write
-// pointers: batches read lock-free snapshots while an update rebuilds
-// one shard off to the side. Each benchmark op is one 256-address
-// batch; the churn variants run an unthrottled background updater.
+// Each Serving_* benchmark is one half of a pair that differs only in
+// the serialized format (v1 blob or stride-compressed BlobV2): same
+// table, keys and schedule. The pairs are the in-repo evidence for
+// which format to keep. End-to-end serving numbers (UDP datagrams,
+// VRFs, live churn) and the per-layer ladder come from fibperf:
+// bash fibperf/run.sh, with --trace 1 for the ladder. Each lookup
+// benchmark op is one 256-address batch.
 
 const serveBatch = 256
 
@@ -420,29 +414,9 @@ func serveBatches(keys []uint32) [][]uint32 {
 	return batches
 }
 
-func BenchmarkServing_ParallelBatchFlat(b *testing.B) {
+func benchParallelBatchSharded16(b *testing.B, format shardfib.Format) {
 	t, keys, _ := benchFIB(b)
-	d, err := pdag.Build(t, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var sink uint32
-		for i := 0; pb.Next(); i++ {
-			for _, a := range batches[i%len(batches)] {
-				sink += d.Lookup(a)
-			}
-		}
-		_ = sink
-	})
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func benchParallelBatchSharded(b *testing.B, shards int, format shardfib.Format) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.BuildFormat(t, 11, shards, format)
+	f, err := shardfib.BuildFormat(t, 11, 16, format)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -457,17 +431,14 @@ func benchParallelBatchSharded(b *testing.B, shards int, format shardfib.Format)
 	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
 
-func BenchmarkServing_ParallelBatchSharded4(b *testing.B) {
-	benchParallelBatchSharded(b, 4, shardfib.FormatV1)
-}
 func BenchmarkServing_ParallelBatchSharded16(b *testing.B) {
-	benchParallelBatchSharded(b, 16, shardfib.FormatV1)
+	benchParallelBatchSharded16(b, shardfib.FormatV1)
 }
 
 // The V2 variant serves stride-compressed snapshots through the same
 // merged view — the bench smoke runs both formats side by side.
 func BenchmarkServing_ParallelBatchSharded16V2(b *testing.B) {
-	benchParallelBatchSharded(b, 16, shardfib.FormatV2)
+	benchParallelBatchSharded16(b, shardfib.FormatV2)
 }
 
 // BenchmarkServing_ParallelBatchBlobLanes serves the flat serialized
@@ -494,51 +465,6 @@ func BenchmarkServing_ParallelBatchBlobLanes(b *testing.B) {
 	})
 	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 }
-
-// benchServingWire measures the full datagram path — UDP in, batched
-// lookup through the sharded engine, UDP out — with the given number
-// of lookupd serve loops (per-worker reuseport sockets where the
-// platform has them). Each op is one 256-address batch round-tripped
-// over loopback; the CI bench smoke runs it at -benchtime 1x to keep
-// the wire path's build-and-serve cycle under regression guard.
-func benchServingWire(b *testing.B, workers int) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.Build(t, 11, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := lookupd.ListenOptions("127.0.0.1:0", f, nil, lookupd.Options{
-		Workers:   workers,
-		ReusePort: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	conn, err := net.Dial("udp", s.Addr().String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer conn.Close()
-	req := make([]byte, 4*serveBatch)
-	for i := 0; i < serveBatch; i++ {
-		binary.BigEndian.PutUint32(req[4*i:], keys[i%len(keys)])
-	}
-	resp := make([]byte, 4*serveBatch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := conn.Write(req); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := conn.Read(resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-}
-
-func BenchmarkServing_WireSharded16(b *testing.B)   { benchServingWire(b, 1) }
-func BenchmarkServing_WireSharded16W2(b *testing.B) { benchServingWire(b, 2) }
 
 // BenchmarkServing_ParallelBatchBlobV2Lanes is the stride-compressed
 // counterpart of BlobLanes: same keys, same pipeline, but the folded
@@ -626,160 +552,10 @@ func benchDeepBlob(b *testing.B, v2 bool) {
 func BenchmarkServing_DeepBatchBlobLanes(b *testing.B)   { benchDeepBlob(b, false) }
 func BenchmarkServing_DeepBatchBlobV2Lanes(b *testing.B) { benchDeepBlob(b, true) }
 
-func BenchmarkServing_ChurnBatchFlat(b *testing.B) {
-	t, keys, _ := benchFIB(b)
-	d, err := pdag.Build(t, 11)
-	if err != nil {
-		b.Fatal(err)
-	}
-	us := gen.RandomUpdates(rand.New(rand.NewSource(6)), t, 4096)
-	batches := serveBatches(keys)
-	var (
-		mu   sync.RWMutex
-		stop = make(chan struct{})
-		done = make(chan struct{})
-		nup  uint64
-	)
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			u := us[i&4095]
-			mu.Lock()
-			if u.Withdraw {
-				d.Delete(u.Addr, u.Len)
-			} else if err := d.Set(u.Addr, u.Len, u.NextHop); err != nil {
-				mu.Unlock()
-				b.Error(err)
-				return
-			}
-			mu.Unlock()
-			nup++
-		}
-	}()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var sink uint32
-		for i := 0; pb.Next(); i++ {
-			mu.RLock()
-			for _, a := range batches[i%len(batches)] {
-				sink += d.Lookup(a)
-			}
-			mu.RUnlock()
-		}
-		_ = sink
-	})
-	b.StopTimer()
-	close(stop)
-	<-done
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	b.ReportMetric(float64(nup)/b.Elapsed().Seconds(), "updates/s")
-}
-
-func BenchmarkServing_ChurnBatchSharded16(b *testing.B) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.Build(t, 11, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	us := gen.RandomUpdates(rand.New(rand.NewSource(6)), t, 4096)
-	batches := serveBatches(keys)
-	var (
-		stop = make(chan struct{})
-		done = make(chan struct{})
-		nup  uint64
-	)
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			u := us[i&4095]
-			if u.Withdraw {
-				f.Delete(u.Addr, u.Len)
-			} else if err := f.Set(u.Addr, u.Len, u.NextHop); err != nil {
-				b.Error(err)
-				return
-			}
-			nup++
-		}
-	}()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			f.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	<-done
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	b.ReportMetric(float64(nup)/b.Elapsed().Seconds(), "updates/s")
-}
-
-// The ChurnRibd benchmarks are the churn-under-load scenario of the
-// live route-update plane: concurrent peers push updates at a fixed
-// combined rate through ribd's coalescing queue and paced republish
-// while the merged batch-lookup path is measured. Reported next to
-// lookups/s: the applied (post-coalescing) update rate the engine
-// absorbed during the measurement window.
-func benchRibdChurn(b *testing.B, format shardfib.Format) {
-	t, keys, _ := benchFIB(b)
-	f, err := shardfib.BuildFormat(t, 11, 16, format)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := ribd.New(f, ribd.Options{})
-	// BGP-like churn (long-prefix-biased, announce-dominated): the
-	// Fig 5 feed shape, whose incremental patches stay small and deep.
-	us := gen.BGPUpdates(rand.New(rand.NewSource(8)), t, 1<<14)
-	// Apply the whole feed once before timing, so the measured window
-	// serves the steady-state table shape. (A BGP feed adds long
-	// prefixes, deepening uniform lookups; without this warmup the
-	// bench would charge that table change to the live plane. The
-	// matching idle baseline is the sharded16-ribd-idle row of
-	// fibbench -serving.)
-	p.EnqueueBatch(us)
-	p.Sync()
-	// The offered load (peers x rate, owed-based pacing) is shared
-	// with fibbench -serving via experiments.ChurnLoad, so the
-	// go-bench and harness rows measure the same scenario.
-	stop := experiments.ChurnLoad(p, us, experiments.ChurnPeers, experiments.ChurnRate)
-	time.Sleep(100 * time.Millisecond) // reach steady churn before measuring
-	st0 := p.Stats()
-	batches := serveBatches(keys)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		dst := make([]uint32, serveBatch)
-		for i := 0; pb.Next(); i++ {
-			f.LookupBatchInto(dst, batches[i%len(batches)])
-		}
-	})
-	b.StopTimer()
-	st1 := p.Stats()
-	stop()
-	if err := p.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(serveBatch)*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	b.ReportMetric(float64(st1.Applied-st0.Applied)/b.Elapsed().Seconds(), "applied/s")
-	b.ReportMetric(float64(st1.Mutated-st0.Mutated)/b.Elapsed().Seconds(), "mutated/s")
-}
-
-func BenchmarkServing_ChurnRibdSharded16(b *testing.B)   { benchRibdChurn(b, shardfib.FormatV1) }
-func BenchmarkServing_ChurnRibdSharded16V2(b *testing.B) { benchRibdChurn(b, shardfib.FormatV2) }
-
 // BenchmarkServing_ShardedUpdate measures the write-side price of
-// copy-on-write sharding: one Set = one shard republish (1/16 of the
-// table) versus the flat DAG's in-place Theorem 3 patch of Fig 5. One
+// copy-on-write sharding per format: one Set = one shard republish
+// (1/16 of the table) versus the flat DAG's in-place Theorem 3 patch
+// of Fig 5. One
 // warmup cycle applies every update before the clock starts, so the
 // measurement is steady-state churn — the regime the zero-allocation
 // republish contract covers — rather than first-touch table growth.
@@ -813,8 +589,7 @@ func benchShardedUpdate(b *testing.B, format shardfib.Format) {
 
 // ---- IPv6 dual-stack serving: the ip6 blob's interleaved lanes flat
 // and through the sharded v6 engine, plus the sharded steady-churn
-// update cost — the go-bench counterpart of the fibbench -serving
-// ip6-* rows.
+// update cost, each as a v1/v2 format pair.
 
 func serve6Batches(keys []ip6.Addr) [][]ip6.Addr {
 	batches := make([][]ip6.Addr, 0, len(keys)/serveBatch)
@@ -873,8 +648,7 @@ var (
 // benchIP6Deep walks the adversarial deep-chain instance: /60–/64
 // routes probed exactly, so every lookup chains ~48 levels below the
 // barrier — the dependent-load regime where the stride-4 format's 4×
-// shorter chain is the whole story (mirrors the fibbench ip6-deep-*
-// rows).
+// shorter chain is the whole story.
 func benchIP6Deep(b *testing.B, v2 bool) {
 	bench6DeepOnce.Do(func() {
 		var err error

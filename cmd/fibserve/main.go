@@ -3,8 +3,11 @@
 // a prefix DAG — or, with -shards > 1, into a sharded concurrent
 // engine whose lookups are lock-free — and answers batched lookup
 // datagrams (4-byte big-endian addresses in, 4-byte labels out).
-// When serving from a file, SIGHUP re-reads it and hot-swaps the FIB
-// without dropping a single in-flight lookup.
+// SIGHUP re-reads the FIB files and hot-swaps the tables without
+// dropping a single in-flight lookup. The default table (when not read
+// from stdin), the -fib6 table and each -vrfs tenant reload as
+// independent steps: a bad file keeps only its own table's old
+// contents.
 //
 // -workers N runs N parallel serve loops (default: one per CPU). On
 // Linux each loop owns its own SO_REUSEPORT socket, so the kernel
@@ -32,8 +35,7 @@
 // (Prometheus text exposition from the internal/obs registry every
 // layer registers on), /healthz, /statusz (JSON: serving topology,
 // per-worker counters, update-plane stats, peers, and the publish-
-// pipeline trace ring), and /debug/pprof (the old -pprof flag is a
-// deprecated alias serving the same mux). Instrumentation rides the
+// pipeline trace ring), and /debug/pprof. Instrumentation rides the
 // hot paths at zero allocation; scrapes never block a serve loop.
 //
 // -fib6 serves IPv6 alongside IPv4 from the same UDP socket: the v6
@@ -68,6 +70,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -150,6 +153,69 @@ func loadVRFTables(sp vrfSpec) (*fib.Table, *ip6.Table, error) {
 	return t4, t6, nil
 }
 
+// reloadSet is what SIGHUP re-reads: the default v4 file and the
+// function that refolds its engine, the default v6 file and engine,
+// and the VRF tenants' files and registry.
+type reloadSet struct {
+	path    string                 // default v4 file; "" is stdin, which cannot be re-read
+	swap4   func(*fib.Table) error // refolds and publishes the default v4 engine
+	path6   string
+	fib6    *shardfib.FIB6 // nil without -fib6
+	vreg    *vrftab.Registry
+	vspecs  []vrfSpec
+	counted func(id uint16, n4, n6 int) // records a reloaded tenant's prefix counts
+}
+
+// reload re-reads every served table. The default v4 table, the
+// default v6 table and each tenant reload as independent steps: a
+// missing or malformed file keeps that table's old contents, is
+// reported on errw, and never blocks another table's reload.
+func (rs *reloadSet) reload(out, errw io.Writer) {
+	if n, err := rs.reload4(); err != nil {
+		fmt.Fprintf(errw, "fibserve: reload: %v (keeping old FIB)\n", err)
+	} else {
+		fmt.Fprintf(out, "fibserve: reloaded %d prefixes from %s\n", n, rs.path)
+	}
+	if rs.fib6 != nil {
+		if n, err := rs.reload6(); err != nil {
+			fmt.Fprintf(errw, "fibserve: reload: %v (keeping old IPv6 FIB)\n", err)
+		} else {
+			fmt.Fprintf(out, "fibserve: reloaded %d IPv6 prefixes from %s\n", n, rs.path6)
+		}
+	}
+	for _, sp := range rs.vspecs {
+		t4, t6, err := loadVRFTables(sp)
+		if err == nil {
+			err = rs.vreg.Reload(sp.id, t4, t6)
+		}
+		if err != nil {
+			fmt.Fprintf(errw, "fibserve: reload vrf %d: %v (keeping old tables)\n", sp.id, err)
+			continue
+		}
+		rs.counted(sp.id, t4.N(), t6.N())
+		fmt.Fprintf(out, "fibserve: reloaded vrf %d: %d prefixes, %d IPv6 prefixes\n", sp.id, t4.N(), t6.N())
+	}
+}
+
+func (rs *reloadSet) reload4() (int, error) {
+	if rs.path == "" {
+		return 0, fmt.Errorf("the default table was read from stdin")
+	}
+	t, err := readFIB(rs.path)
+	if err != nil {
+		return 0, err
+	}
+	return t.N(), rs.swap4(t)
+}
+
+func (rs *reloadSet) reload6() (int, error) {
+	t, err := readFIB6(rs.path6)
+	if err != nil {
+		return 0, err
+	}
+	return t.N(), rs.fib6.Reload(t)
+}
+
 func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:7000", "UDP address to serve on")
@@ -170,7 +236,6 @@ func main() {
 		qvrf    = flag.Int("vrf", -1, "client mode: VRF tenant id for -query (default: the untagged default table)")
 		server  = flag.String("server", "127.0.0.1:7000", "client mode: server address")
 		admin   = flag.String("admin", "", "HTTP admin endpoint (e.g. 127.0.0.1:6060): /metrics, /healthz, /statusz, /debug/pprof")
-		pprof   = flag.String("pprof", "", "deprecated alias for -admin (the admin endpoint carries the pprof handlers)")
 	)
 	flag.Parse()
 
@@ -439,80 +504,42 @@ func main() {
 	if sharded6 != nil {
 		st.families = "dual-stack"
 	}
-	// -pprof folds into the admin endpoint: both flags serve the same
-	// mux, so old profiling invocations keep working.
 	if *admin != "" {
 		if err := startAdmin(*admin, st); err != nil {
 			fatal(err)
 		}
 	}
-	if *pprof != "" && *pprof != *admin {
-		if err := startAdmin(*pprof, st); err != nil {
-			fatal(err)
-		}
-	}
 	st.printBanner()
 
+	rs := &reloadSet{
+		path: path,
+		swap4: func(t *fib.Table) error {
+			if sharded != nil {
+				return sharded.Reload(t)
+			}
+			next, _, _, err := flatEngine(t)
+			if err != nil {
+				return err
+			}
+			s.Swap(next)
+			return nil
+		},
+		path6: *fib6, fib6: sharded6, vreg: vreg, vspecs: vspecs,
+		counted: func(id uint16, n4, n6 int) {
+			vcountMu.Lock()
+			vcounts[id] = [2]int{n4, n6}
+			vcountMu.Unlock()
+		},
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
 	for got := range sig {
 		if got != syscall.SIGHUP {
 			break
 		}
-		// Hot reload: re-read the FIB and swap it under live traffic.
-		if path == "" {
-			fmt.Fprintln(os.Stderr, "fibserve: SIGHUP ignored (serving from stdin)")
-			continue
-		}
-		t, err := readFIB(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old FIB)\n", err)
-			continue
-		}
-		if sharded != nil {
-			if err := sharded.Reload(t); err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old FIB)\n", err)
-				continue
-			}
-		} else {
-			next, _, _, err := flatEngine(t)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old FIB)\n", err)
-				continue
-			}
-			s.Swap(next)
-		}
-		fmt.Printf("fibserve: reloaded %d prefixes from %s\n", t.N(), path)
-		// Per-tenant reload: each tenant's files are re-read and swapped
-		// independently, so one tenant's bad file never blocks another's
-		// reload (or the default table's, above).
-		for _, sp := range vspecs {
-			t4, t6, err := loadVRFTables(sp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old tables)\n", err)
-				continue
-			}
-			if err := vreg.Reload(sp.id, t4, t6); err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload vrf %d: %v (keeping old tables)\n", sp.id, err)
-				continue
-			}
-			vcountMu.Lock()
-			vcounts[sp.id] = [2]int{t4.N(), t6.N()}
-			vcountMu.Unlock()
-			fmt.Printf("fibserve: reloaded vrf %d: %d prefixes, %d IPv6 prefixes\n", sp.id, t4.N(), t6.N())
-		}
-		if sharded6 != nil {
-			tab6, err := readFIB6(*fib6)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old IPv6 FIB)\n", err)
-				continue
-			}
-			if err := sharded6.Reload(tab6); err != nil {
-				fmt.Fprintf(os.Stderr, "fibserve: reload: %v (keeping old IPv6 FIB)\n", err)
-				continue
-			}
-			fmt.Printf("fibserve: reloaded %d IPv6 prefixes from %s\n", tab6.N(), *fib6)
-		}
+		// Hot reload: re-read every table file and swap each under
+		// live traffic.
+		rs.reload(os.Stdout, os.Stderr)
 	}
 	// Graceful shutdown (SIGINT/SIGTERM): stop accepting update
 	// peers, drain and publish the pending coalesced batch, then let
